@@ -4,9 +4,10 @@ under the race/staleness sanitizer.
 A preset is a small seeded workload grid — (scheduler kind × seed) —
 whose every cell runs with a :class:`~repro.analysis.sanitizer.
 RaceStalenessSanitizer` attached and its lemma certificates computed.
-Cells go through :func:`repro.experiments.ensemble.run_ensemble`, so
-``--jobs`` parallelizes them across processes with reports byte-identical
-to serial execution (the property the acceptance tests pin).
+Cells go through one :func:`repro.experiments.ensemble.run_rows` call,
+so ``--jobs`` parallelizes the whole grid over one process pool with
+reports byte-identical to serial execution (the property the acceptance
+tests pin).
 
 Presets:
 
@@ -40,7 +41,7 @@ from repro.analysis.sanitizer import RaceStalenessSanitizer
 from repro.core.epoch_sgd import EpochSGDProgram, collect_iteration_records
 from repro.core.full_sgd import FullSGD
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsembleRow, run_rows
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.simulator import Simulator
@@ -274,26 +275,26 @@ def run_sanitize(
         if progress is not None:
             progress(seed, run)
 
+    rows = [
+        EnsembleRow(
+            f"{preset.name}/{scheduler_kind}",
+            functools.partial(_sanitize_worker, preset, scheduler_kind),
+            seeds,
+        )
+        for preset in presets
+        for scheduler_kind in preset.schedulers
+    ]
+    with trace_span("sanitize.grid", rows=len(rows), seeds=len(seeds)):
+        parts = run_rows(
+            rows,
+            jobs=jobs,
+            journal=journal,
+            encode=lambda run: run.as_dict(),
+            decode=run_analysis_from_dict,
+            shutdown=shutdown,
+            metrics=metrics,
+            progress=note_cell,
+        )
     report = AnalysisReport(strict=strict)
-    for preset in presets:
-        for scheduler_kind in preset.schedulers:
-            with trace_span(
-                "sanitize.cell_row", preset=preset.name, scheduler=scheduler_kind
-            ):
-                report.runs.extend(
-                    run_ensemble(
-                        functools.partial(
-                            _sanitize_worker, preset, scheduler_kind
-                        ),
-                        seeds,
-                        jobs=jobs,
-                        journal=journal,
-                        namespace=f"{preset.name}/{scheduler_kind}",
-                        encode=lambda run: run.as_dict(),
-                        decode=run_analysis_from_dict,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
-                    )
-                )
+    report.runs.extend(run for part in parts for run in part)
     return report

@@ -18,8 +18,8 @@ experiments:
   explicit ``n/a`` where it does not (locked's spinlock and leashed's
   CAS retry loops break the bounded-iteration premise of 6.2/6.4).
 
-Cells run through :func:`repro.experiments.ensemble.run_ensemble`, so
-the grid parallelizes across processes (``--jobs``) and journals for
+Cells run through one :func:`repro.experiments.ensemble.run_rows` call,
+so the whole grid shares one process pool (``--jobs``) and journals for
 kill/resume with byte-identical reports either way — the properties the
 CI zoo job pins.
 
@@ -45,7 +45,7 @@ from repro.core.algorithm import (
     run_algorithm,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsembleRow, run_rows
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
@@ -487,9 +487,10 @@ def run_zoo(
 ) -> ZooReport:
     """Execute the full algorithm x adversary x seed grid.
 
-    Each grid row's seed ensemble goes through :func:`run_ensemble`, so
-    ``config.jobs`` parallelizes cells across processes with results
-    byte-identical to a serial run.  ``journal``/``shutdown``/
+    Every (row, seed) cell goes through one :func:`run_rows` call — one
+    process pool for the whole grid — so ``config.jobs`` parallelizes
+    cells across processes with results byte-identical to a serial run;
+    journal namespaces stay per row.  ``journal``/``shutdown``/
     ``watchdog_policy``/``metrics``/``progress`` behave exactly as in
     :func:`repro.faults.campaign.run_campaign` — durable resume at cell
     granularity, graceful interrupts, live telemetry; none of it changes
@@ -512,37 +513,33 @@ def run_zoo(
         if progress is not None:
             progress(seed, outcome)
 
-    outcomes: List[ZooCellOutcome] = []
-    for algorithm in config.algorithms:
-        for adversary in config.adversaries:
-            watchdog = (
-                EnsembleWatchdog(watchdog_policy, metrics=metrics)
-                if watchdog_policy is not None
-                else None
-            )
-            with trace_span(
-                "zoo.cell",
-                algorithm=algorithm,
-                adversary=adversary,
-                seeds=len(config.seeds),
-            ):
-                outcomes.extend(
-                    run_ensemble(
-                        functools.partial(
-                            _zoo_worker, config, algorithm, adversary
-                        ),
-                        config.seeds,
-                        jobs=config.jobs,
-                        journal=journal,
-                        namespace=_cell_namespace(algorithm, adversary),
-                        encode=outcome_to_payload,
-                        decode=outcome_from_payload,
-                        watchdog=watchdog,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
-                    )
-                )
+    rows = [
+        EnsembleRow(
+            _cell_namespace(algorithm, adversary),
+            functools.partial(_zoo_worker, config, algorithm, adversary),
+            config.seeds,
+        )
+        for algorithm in config.algorithms
+        for adversary in config.adversaries
+    ]
+    watchdog = (
+        EnsembleWatchdog(watchdog_policy, metrics=metrics)
+        if watchdog_policy is not None
+        else None
+    )
+    with trace_span("zoo.grid", rows=len(rows), seeds=len(config.seeds)):
+        parts = run_rows(
+            rows,
+            jobs=config.jobs,
+            journal=journal,
+            encode=outcome_to_payload,
+            decode=outcome_from_payload,
+            watchdog=watchdog,
+            shutdown=shutdown,
+            metrics=metrics,
+            progress=note_cell,
+        )
+    outcomes = [outcome for part in parts for outcome in part]
     return report_from_outcomes(outcomes)
 
 

@@ -11,8 +11,8 @@ what the ladder did: detector firings per rule, rollbacks, retries,
 degradations taken, recovery latencies, final health and final
 ``||x − x*||``.
 
-Cells run through :func:`repro.experiments.ensemble.run_ensemble`, so
-the grid parallelizes across processes (``--jobs``) and journals for
+Cells run through one :func:`repro.experiments.ensemble.run_rows` call,
+so the whole grid shares one process pool (``--jobs``) and journals for
 kill/resume with byte-identical reports either way — the properties the
 CI heal job pins.
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.algorithm import algorithm_names
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsembleRow, run_rows
 from repro.experiments.runner import ExperimentResult
 from repro.faults.spec import (
     BitFlipSpec,
@@ -476,9 +476,10 @@ def run_heal_grid(
 ) -> HealGridReport:
     """Execute the full algorithm × plan × seed resilience grid.
 
-    Each grid row's seed ensemble goes through :func:`run_ensemble`
-    (durable resume at cell granularity, graceful interrupts,
-    ``--jobs``-invariant bytes).  Heal counters are published to
+    Every (row, seed) cell goes through one :func:`run_rows` call — one
+    process pool for the whole grid, journal namespaces per row — with
+    durable resume at cell granularity, graceful interrupts and
+    ``--jobs``-invariant bytes.  Heal counters are published to
     ``metrics`` in the parent from the deterministic outcome fields —
     never from inside pooled workers — so metric snapshots are identical
     across ``--jobs`` too.
@@ -515,37 +516,33 @@ def run_heal_grid(
         if progress is not None:
             progress(seed, outcome)
 
-    outcomes: List[HealCellOutcome] = []
-    for algorithm in config.algorithms:
-        for plan in config.plans:
-            watchdog = (
-                EnsembleWatchdog(watchdog_policy, metrics=metrics)
-                if watchdog_policy is not None
-                else None
-            )
-            with trace_span(
-                "heal.cell",
-                algorithm=algorithm,
-                plan=plan,
-                seeds=len(config.seeds),
-            ):
-                outcomes.extend(
-                    run_ensemble(
-                        functools.partial(
-                            _heal_worker, config, algorithm, plan
-                        ),
-                        config.seeds,
-                        jobs=config.jobs,
-                        journal=journal,
-                        namespace=_cell_namespace(algorithm, plan),
-                        encode=outcome_to_payload,
-                        decode=outcome_from_payload,
-                        watchdog=watchdog,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
-                    )
-                )
+    rows = [
+        EnsembleRow(
+            _cell_namespace(algorithm, plan),
+            functools.partial(_heal_worker, config, algorithm, plan),
+            config.seeds,
+        )
+        for algorithm in config.algorithms
+        for plan in config.plans
+    ]
+    watchdog = (
+        EnsembleWatchdog(watchdog_policy, metrics=metrics)
+        if watchdog_policy is not None
+        else None
+    )
+    with trace_span("heal.grid", rows=len(rows), seeds=len(config.seeds)):
+        parts = run_rows(
+            rows,
+            jobs=config.jobs,
+            journal=journal,
+            encode=outcome_to_payload,
+            decode=outcome_from_payload,
+            watchdog=watchdog,
+            shutdown=shutdown,
+            metrics=metrics,
+            progress=note_cell,
+        )
+    outcomes = [outcome for part in parts for outcome in part]
     return report_from_outcomes(outcomes)
 
 

@@ -295,6 +295,9 @@ def run(config: E5Config) -> ExperimentResult:
     measured_slowdown: List[float] = []
     predicted_sqrt: List[float] = []
     predicted_linear: List[float] = []
+    # (delay bound, tau_max, measured, sqrt, linear, runs that hit) per
+    # row, finite or not: acceptance (b) reads the largest delay bound's.
+    sweep_rows: List[Tuple[int, int, float, float, float, int]] = []
     for delay_bound in config.slowdown_delay_bounds:
         tau_pilot = _pilot_tau_max(config, objective, x0, delay_bound, pilot_alpha)
         alpha_d = corollary_6_7_step_size(
@@ -366,6 +369,16 @@ def run(config: E5Config) -> ExperimentResult:
                 linear_prediction,
             ]
         )
+        sweep_rows.append(
+            (
+                delay_bound,
+                tau_realized,
+                slowdown,
+                sqrt_prediction,
+                linear_prediction,
+                len(run_hits),
+            )
+        )
         if math.isfinite(slowdown):
             sweep_tau.append(float(tau_realized))
             measured_slowdown.append(slowdown)
@@ -373,11 +386,31 @@ def run(config: E5Config) -> ExperimentResult:
             predicted_linear.append(linear_prediction)
 
     # Shape acceptance: measured slowdown closer to the sqrt curve than
-    # to the linear curve at the largest tau (where they separate).
-    if len(measured_slowdown) >= 2:
-        gap_sqrt = abs(measured_slowdown[-1] - predicted_sqrt[-1])
-        gap_linear = abs(measured_slowdown[-1] - predicted_linear[-1])
-        passed = passed and gap_sqrt <= gap_linear
+    # to the linear curve at the largest delay bound (where they
+    # separate).  That row is judged even when no run hit: falling back
+    # to a smaller bound would compare where the curves are close.
+    shape_note = "(b) not evaluated: fewer than two delay bounds"
+    if len(sweep_rows) >= 2:
+        bound_d, tau_d, slowdown, sqrt_d, linear_d, hit_runs = max(sweep_rows)
+        if math.isfinite(slowdown):
+            shape_ok = abs(slowdown - sqrt_d) <= abs(slowdown - linear_d)
+            shape_note = (
+                f"(b) evaluated at the largest delay bound {bound_d} "
+                f"(tau_max={tau_d}): measured slowdown {slowdown:.4g}, "
+                f"sqrt prediction {sqrt_d:.4g}, linear {linear_d:.4g} -> "
+                + ("ok" if shape_ok else "FAILED")
+            )
+        else:
+            shape_ok = False
+            shape_note = (
+                f"(b) FAILED: no finite slowdown at the largest delay bound "
+                f"{bound_d} (tau_max={tau_d}; {hit_runs} of "
+                f"{config.slowdown_runs} runs hit within "
+                f"{config.slowdown_iterations} iterations"
+                + ("" if seq_hits else ", no sequential run hit")
+                + ")"
+            )
+        passed = passed and shape_ok
 
     combined = Table(["section"], title="")
     combined.add_row(["(see E5a / E5b tables in notes)"])
@@ -389,17 +422,20 @@ def run(config: E5Config) -> ExperimentResult:
         + "\n\nlemma certificates (6.1 total order, 6.2 window contention, "
         "6.4 indicator sums): "
         + ("held on every trace" if certificates_ok else "VIOLATED on some trace")
+        + "\n\n"
+        + shape_note
         + "\n\nacceptance: (a) Wilson lower limit of measured P(F_T) below "
-        "the Cor 6.7 bound at every horizon; (b) at the largest tau_max the "
-        "measured slowdown is closer to the sqrt(tau_max*n) prediction than "
-        "to the linear-in-tau prior-art curve; (c) structural-lemma "
-        "certificates hold on every measured trace"
+        "the Cor 6.7 bound at every horizon; (b) at the largest delay "
+        "bound the measured slowdown is closer to the sqrt(tau_max*n) "
+        "prediction than to the linear-in-tau prior-art curve (no finite "
+        "slowdown there fails); (c) structural-lemma certificates hold on "
+        "every measured trace"
     )
     return ExperimentResult(
         experiment_id="E5",
         title="Thm 6.5 / Cor 6.7 — lock-free SGD converges; price of "
         "asynchrony is sqrt(tau_max*n)",
-        table=bound_table,
+        table=combined,
         xs=sweep_tau if len(sweep_tau) >= 2 else xs,
         series=(
             {

@@ -11,6 +11,10 @@ one place that owns that fan-out:
   seed list, chunking seeds across a
   :class:`concurrent.futures.ProcessPoolExecutor` and merging results in
   **seed order**, so parallel output is byte-identical to serial output;
+* :func:`run_rows` is the same engine for a whole grid: the
+  ``(namespace, seed)`` cells of many rows share **one** pool and one
+  chunk plan (``run_ensemble`` is its one-row case), so a grid of many
+  small rows parallelizes as well as one large ensemble;
 * ``jobs=1`` (the default) never touches a pool — experiments remain as
   debuggable as before;
 * pool failures degrade gracefully — and *partially*: each chunk is a
@@ -35,6 +39,7 @@ Workers must be importable module-level callables (or
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -51,6 +56,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -299,6 +305,209 @@ def _run_chunks_pooled(
     return results
 
 
+class EnsembleRow(NamedTuple):
+    """One row of a grid: a journal namespace, the worker that computes
+    its cells and the seeds it wants, in the order results are wanted.
+
+    ``run_one`` must be picklable (a module-level function or
+    ``functools.partial`` of one) when the grid runs with ``jobs != 1``;
+    its results must be picklable too.
+    """
+
+    namespace: str
+    run_one: Callable[[int], Any]
+    seeds: Sequence[int]
+
+
+def _run_cell(cell: Tuple[Callable[[int], T], int]) -> T:
+    """Run one ``(run_one, seed)`` cell (module-level: picklable).
+
+    Pool chunks carry cells rather than bare seeds so that one chunk can
+    mix rows; pickling memoizes a row's ``run_one`` once per chunk."""
+    run_one, seed = cell
+    return run_one(seed)
+
+
+def run_rows(
+    rows: Sequence[EnsembleRow],
+    jobs: Optional[int] = 1,
+    chunk_retries: int = 1,
+    chunk_timeout: Optional[float] = None,
+    backoff_base: float = 0.05,
+    journal: Optional[Any] = None,
+    encode: Optional[Callable[[Any], Any]] = None,
+    decode: Optional[Callable[[Any], Any]] = None,
+    watchdog: Optional[EnsembleWatchdog] = None,
+    shutdown: Optional[Any] = None,
+    metrics: Optional[Any] = None,
+    progress: Optional[Callable[[int, Any], None]] = None,
+    backoff_seed: Optional[int] = None,
+) -> List[List[Any]]:
+    """Run every ``(namespace, seed)`` cell of ``rows`` in one ensemble.
+
+    All cells of all rows share one process pool and one chunk plan, so
+    a grid of many small rows keeps every worker busy instead of
+    waiting for each row's slowest cell (DESIGN.md §9).  Everything else
+    works per cell: journal restore and record under the cell's row
+    namespace, the deterministic ``ensemble.seed`` causal event (key
+    ``"<namespace>|<seed>"``), ``progress`` and result order.  The
+    keyword arguments are those of :func:`run_ensemble`, which is the
+    one-row case of this function.
+
+    Returns:
+        One result list per row, each in that row's seed order —
+        identical, element for element, to ``[[row.run_one(s) for s in
+        row.seeds] for row in rows]`` regardless of ``jobs``, retries,
+        fallbacks or how many prior interrupted runs the journal already
+        covers.
+    """
+    from repro.obs.causal import get_causal_recorder
+    from repro.obs.registry import live_registry
+
+    rows = [EnsembleRow(r.namespace, r.run_one, list(r.seeds)) for r in rows]
+    # A cell is its journal identity, (namespace, seed): rows sharing a
+    # namespace share cells (the first such row's worker computes them),
+    # and duplicate seeds map to one deterministic result.  Grid order
+    # (row-major) is kept.
+    workers: Dict[str, Callable[[int], Any]] = {}
+    for row in rows:
+        workers.setdefault(row.namespace, row.run_one)
+    cells = list(dict.fromkeys((r.namespace, s) for r in rows for s in r.seeds))
+    jobs = resolve_jobs(jobs)
+    registry = live_registry(metrics)
+    # Causal tracing (serve tier): per-seed records are deterministic
+    # (pure functions of (namespace, seed) with content-derived ids, so
+    # the logical stitch is byte-identical across --jobs values, journal
+    # resumes and how rows are grouped into calls); chunk records are
+    # harness weather, linked to the enclosing span by a flow arrow.
+    causal = get_causal_recorder()
+    causal_anchor = causal.current_span() if causal is not None else None
+
+    def note_causal(namespace: str, seed: int) -> None:
+        if causal is not None:
+            causal.event(
+                "ensemble.seed",
+                key=f"{namespace}|{seed}",
+                det=True,
+                namespace=namespace,
+                seed=seed,
+            )
+    m_completed = m_skipped = None
+    if registry is not None:
+        m_completed = registry.counter(
+            "repro_ensemble_seeds_completed_total",
+            "seeds freshly computed by this process",
+            deterministic=False,
+        )
+        m_skipped = registry.counter(
+            "repro_ensemble_seeds_journal_skipped_total",
+            "seeds restored from the journal instead of rerun",
+            deterministic=False,
+        )
+    done: Dict[Tuple[str, int], Any] = {}
+    if journal is not None:
+        wanted = set(cells)
+        for namespace in workers:
+            for seed, payload in journal.completed(namespace).items():
+                if (namespace, seed) in wanted:
+                    done[namespace, seed] = (
+                        decode(payload) if decode is not None else payload
+                    )
+                    # Re-emit the restored seed's causal record: identical
+                    # id and args as the attempt that computed it, so the
+                    # logical stitch of a resumed job collapses to the
+                    # uninterrupted run's bytes.
+                    note_causal(namespace, seed)
+                    if m_skipped is not None:
+                        m_skipped.inc()
+
+    def note(cell: Tuple[str, int], result: Any) -> None:
+        if cell in done:
+            return
+        done[cell] = result
+        namespace, seed = cell
+        if journal is not None:
+            journal.record(
+                namespace, seed, encode(result) if encode is not None else result
+            )
+        note_causal(namespace, seed)
+        if m_completed is not None:
+            m_completed.inc()
+        if progress is not None:
+            progress(seed, result)
+
+    def compute(cell: Tuple[str, int]) -> None:
+        if shutdown is not None:
+            shutdown.check()
+        note(cell, workers[cell[0]](cell[1]))
+
+    def results() -> List[List[Any]]:
+        return [[done[row.namespace, seed] for seed in row.seeds] for row in rows]
+
+    pending = [cell for cell in cells if cell not in done]
+    if jobs == 1 or len(pending) <= 1:
+        for namespace, group in itertools.groupby(pending, key=lambda c: c[0]):
+            count = 0
+            for cell in group:
+                compute(cell)
+                count += 1
+            if causal is not None:
+                causal.event(
+                    "ensemble.chunk",
+                    key=f"{namespace}|serial",
+                    flow=causal_anchor,
+                    namespace=namespace,
+                    seeds=count,
+                )
+        return results()
+
+    chunks = seed_chunks(pending, jobs)
+
+    def on_chunk(index: int, part: List[Any]) -> None:
+        for cell, result in zip(chunks[index], part):
+            note(cell, result)
+        if causal is not None:
+            # A chunk may span rows; it is named by its first cell's row.
+            namespace = chunks[index][0][0]
+            causal.event(
+                "ensemble.chunk",
+                key=f"{namespace}|chunk-{index}",
+                flow=causal_anchor,
+                namespace=namespace,
+                chunk=index,
+                seeds=len(part),
+            )
+
+    parts = _run_chunks_pooled(
+        _run_cell,
+        [[(workers[ns], seed) for ns, seed in chunk] for chunk in chunks],
+        jobs,
+        chunk_retries,
+        chunk_timeout,
+        backoff_base,
+        watchdog=watchdog,
+        shutdown=shutdown,
+        on_chunk=on_chunk,
+        backoff_seed=backoff_seed,
+    )
+    if shutdown is not None:
+        shutdown.check()
+    # Partial-result rerun: only chunks the pool never delivered are
+    # recomputed in-process.  Errors from run_one itself surface here,
+    # deterministically and with a clean traceback.
+    for index, part in enumerate(parts):
+        if part is None:
+            if registry is not None:
+                registry.counter(
+                    "repro_ensemble_chunks_serial_rerun_total",
+                    "chunks the pool never delivered, rerun in-process",
+                    deterministic=False,
+                ).inc()
+            for cell in chunks[index]:
+                compute(cell)
+    return results()
+
+
 def run_ensemble(
     run_one: Callable[[int], T],
     seeds: Sequence[int],
@@ -316,7 +525,8 @@ def run_ensemble(
     progress: Optional[Callable[[int, T], None]] = None,
     backoff_seed: Optional[int] = None,
 ) -> List[T]:
-    """Map ``run_one`` over ``seeds``, optionally across processes.
+    """Map ``run_one`` over ``seeds``, optionally across processes — the
+    one-row case of :func:`run_rows`.
 
     Args:
         run_one: Maps one seed to one result.  Must be picklable (a
@@ -379,128 +589,18 @@ def run_ensemble(
         fallbacks or how many prior interrupted runs the journal
         already covers.
     """
-    from repro.obs.causal import get_causal_recorder
-    from repro.obs.registry import live_registry
-
-    seeds = list(seeds)
-    jobs = resolve_jobs(jobs)
-    registry = live_registry(metrics)
-    # Causal tracing (serve tier): per-seed records are deterministic
-    # (pure functions of (namespace, seed) with content-derived ids, so
-    # the logical stitch is byte-identical across --jobs values and
-    # journal resumes); chunk records are harness weather, linked to
-    # the enclosing span by a flow arrow.
-    causal = get_causal_recorder()
-    causal_anchor = causal.current_span() if causal is not None else None
-
-    def note_causal(seed: int) -> None:
-        if causal is not None:
-            causal.event(
-                "ensemble.seed",
-                key=f"{namespace}|{seed}",
-                det=True,
-                namespace=namespace,
-                seed=seed,
-            )
-    m_completed = m_skipped = None
-    if registry is not None:
-        m_completed = registry.counter(
-            "repro_ensemble_seeds_completed_total",
-            "seeds freshly computed by this process",
-            deterministic=False,
-        )
-        m_skipped = registry.counter(
-            "repro_ensemble_seeds_journal_skipped_total",
-            "seeds restored from the journal instead of rerun",
-            deterministic=False,
-        )
-    done: Dict[int, T] = {}
-    if journal is not None:
-        wanted = set(seeds)
-        for seed, payload in journal.completed(namespace).items():
-            if seed in wanted:
-                done[seed] = decode(payload) if decode is not None else payload
-                # Re-emit the restored seed's causal record: identical
-                # id and args as the attempt that computed it, so the
-                # logical stitch of a resumed job collapses to the
-                # uninterrupted run's bytes.
-                note_causal(seed)
-                if m_skipped is not None:
-                    m_skipped.inc()
-
-    def note(seed: int, result: T) -> None:
-        if seed in done:
-            return
-        done[seed] = result
-        if journal is not None:
-            journal.record(
-                namespace, seed, encode(result) if encode is not None else result
-            )
-        note_causal(seed)
-        if m_completed is not None:
-            m_completed.inc()
-        if progress is not None:
-            progress(seed, result)
-
-    # Duplicate seeds map to one deterministic result; compute each once.
-    pending = list(dict.fromkeys(s for s in seeds if s not in done))
-    if jobs == 1 or len(pending) <= 1:
-        for seed in pending:
-            if shutdown is not None:
-                shutdown.check()
-            note(seed, run_one(seed))
-        if causal is not None and pending:
-            causal.event(
-                "ensemble.chunk",
-                key=f"{namespace}|serial",
-                flow=causal_anchor,
-                namespace=namespace,
-                seeds=len(pending),
-            )
-        return [done[seed] for seed in seeds]
-
-    chunks = seed_chunks(pending, jobs)
-
-    def on_chunk(index: int, part: List[T]) -> None:
-        for seed, result in zip(chunks[index], part):
-            note(seed, result)
-        if causal is not None:
-            causal.event(
-                "ensemble.chunk",
-                key=f"{namespace}|chunk-{index}",
-                flow=causal_anchor,
-                namespace=namespace,
-                chunk=index,
-                seeds=len(part),
-            )
-
-    parts = _run_chunks_pooled(
-        run_one,
-        chunks,
-        jobs,
-        chunk_retries,
-        chunk_timeout,
-        backoff_base,
+    return run_rows(
+        [EnsembleRow(namespace, run_one, seeds)],
+        jobs=jobs,
+        chunk_retries=chunk_retries,
+        chunk_timeout=chunk_timeout,
+        backoff_base=backoff_base,
+        journal=journal,
+        encode=encode,
+        decode=decode,
         watchdog=watchdog,
         shutdown=shutdown,
-        on_chunk=on_chunk,
+        metrics=metrics,
+        progress=progress,
         backoff_seed=backoff_seed,
-    )
-    if shutdown is not None:
-        shutdown.check()
-    # Partial-result rerun: only chunks the pool never delivered are
-    # recomputed in-process.  Errors from run_one itself surface here,
-    # deterministically and with a clean traceback.
-    for index, part in enumerate(parts):
-        if part is None:
-            if registry is not None:
-                registry.counter(
-                    "repro_ensemble_chunks_serial_rerun_total",
-                    "chunks the pool never delivered, rerun in-process",
-                    deterministic=False,
-                ).inc()
-            for seed in chunks[index]:
-                if shutdown is not None:
-                    shutdown.check()
-                note(seed, run_one(seed))
-    return [done[seed] for seed in seeds]
+    )[0]

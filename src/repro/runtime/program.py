@@ -19,13 +19,11 @@ Programs communicate with the outside world through their
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from typing import Any, Dict, Generator, List
 
+from repro.runtime.clock import Clock
 from repro.runtime.events import Event
 from repro.runtime.rng import RngStream
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.runtime.simulator import Simulator
 
 #: The generator type a program's ``run`` must return: yields operations,
 #: receives their results, and its return value becomes the thread result.
@@ -39,24 +37,31 @@ class ThreadContext:
         thread_id: The id of the thread running the program.
         rng: The thread's private random stream (its "local coins").
         annotations: A mutable dict published to adaptive adversaries.
+
+    The context holds the simulator's clock and trace list, never the
+    simulator itself: a simulator owns its threads and each thread owns
+    its context, so a back-reference would make every run a reference
+    cycle that only the cyclic GC frees.  Without it a finished run is
+    freed by refcount the moment its result is dropped (DESIGN.md §9).
     """
 
     def __init__(
-        self, thread_id: int, rng: RngStream, simulator: "Simulator"
+        self, thread_id: int, rng: RngStream, clock: Clock, trace: List[Event]
     ) -> None:
         self.thread_id = thread_id
         self.rng = rng
-        self._simulator = simulator
+        self._clock = clock
+        self._trace = trace
         self.annotations: Dict[str, Any] = {}
 
     @property
     def now(self) -> int:
         """Current logical time (steps executed so far)."""
-        return self._simulator.clock.now
+        return self._clock.now
 
     def emit(self, event: Event) -> None:
         """Append a semantic event to the simulation trace."""
-        self._simulator.trace.append(event)
+        self._trace.append(event)
 
     def annotate(self, key: str, value: Any) -> None:
         """Publish thread-local state for adaptive adversaries to read."""

@@ -146,7 +146,9 @@ class Simulator:
         """Create a thread running ``program`` and register it with the
         scheduler.  Returns the new :class:`SimThread`."""
         thread_id = len(self.threads)
-        context = ThreadContext(thread_id, self._rng_root.spawn_one(), self)
+        context = ThreadContext(
+            thread_id, self._rng_root.spawn_one(), self.clock, self.trace
+        )
         thread = SimThread(thread_id, program, context, name=name)
         self.threads.append(thread)
         if thread.is_runnable:

@@ -20,8 +20,8 @@ Clean variants must produce zero counterexamples across the whole tree
 sanitizer — the oracle-agreement check that pins the sanitizer's
 recall.
 
-Cells run through :func:`repro.experiments.ensemble.run_ensemble`, so
-the grid parallelizes across processes (``--jobs``) and journals for
+Cells run through one :func:`repro.experiments.ensemble.run_rows` call,
+so the whole grid shares one process pool (``--jobs``) and journals for
 kill/resume with byte-identical reports either way.
 """
 
@@ -44,7 +44,7 @@ from repro.core.algorithm import (
 )
 from repro.core.epoch_sgd import collect_iteration_records
 from repro.errors import ConfigurationError, SchedulerError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsembleRow, run_rows
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.simulator import Simulator
@@ -371,8 +371,9 @@ def run_verify(
 ) -> VerifyReport:
     """Execute the variant x seed enumeration grid plus the SMT queries.
 
-    Each variant's seed ensemble goes through :func:`run_ensemble`, so
-    ``config.jobs`` parallelizes cells across processes with results
+    Every (variant, seed) cell goes through one :func:`run_rows` call —
+    one process pool for the whole grid, journal namespaces per variant
+    — so ``config.jobs`` parallelizes cells across processes with results
     byte-identical to a serial run, journaling for kill/resume.  The
     SMT queries run in the parent (they are cheap and deterministic).
     """
@@ -389,23 +390,24 @@ def run_verify(
         if progress is not None:
             progress(seed, outcome)
 
-    outcomes: List[VerifyCellOutcome] = []
-    for variant in config.variants:
-        with trace_span(
-            "verify.cell", variant=variant, seeds=len(config.seeds)
-        ):
-            outcomes.extend(
-                run_ensemble(
-                    functools.partial(_verify_worker, config, variant),
-                    config.seeds,
-                    jobs=config.jobs,
-                    journal=journal,
-                    namespace=_variant_namespace(variant),
-                    encode=outcome_to_payload,
-                    decode=outcome_from_payload,
-                    shutdown=shutdown,
-                    metrics=metrics,
-                    progress=note_cell,
-                )
-            )
+    rows = [
+        EnsembleRow(
+            _variant_namespace(variant),
+            functools.partial(_verify_worker, config, variant),
+            config.seeds,
+        )
+        for variant in config.variants
+    ]
+    with trace_span("verify.grid", rows=len(rows), seeds=len(config.seeds)):
+        parts = run_rows(
+            rows,
+            jobs=config.jobs,
+            journal=journal,
+            encode=outcome_to_payload,
+            decode=outcome_from_payload,
+            shutdown=shutdown,
+            metrics=metrics,
+            progress=note_cell,
+        )
+    outcomes = [outcome for part in parts for outcome in part]
     return report_from_outcomes(config, outcomes)

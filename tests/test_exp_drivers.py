@@ -100,6 +100,31 @@ class TestDrivers:
         # any T); the slowdown shape needs larger runs, so only check
         # presence here.
         assert "E5a" in result.notes and "E5b" in result.notes
+        # The E5a table is rendered once (in the notes), not also as the
+        # result table.
+        assert result.render(plot=False).count("E5a:") == 1
+        # (b) names the delay bound it judged, finite slowdown or not.
+        assert "at the largest delay bound 96" in result.notes
+
+    def test_e5_fails_by_name_when_the_largest_delay_bound_never_hits(self):
+        # Ten iterations cannot reach the success region: every slowdown
+        # row is nan, so (b) must fail at the largest bound, not fall
+        # back to a smaller one.
+        config = e5_upper_bound.E5Config(
+            horizons=[200],
+            num_runs=2,
+            slowdown_delay_bounds=[2, 96],
+            slowdown_runs=2,
+            slowdown_iterations=10,
+            pilot_runs=1,
+        )
+        result = e5_upper_bound.run(config)
+        assert not result.passed
+        assert (
+            "(b) FAILED: no finite slowdown at the largest delay bound 96"
+            in result.notes
+        )
+        assert "0 of 2 runs hit within 10 iterations" in result.notes
 
     def test_e6(self):
         config = e6_bound_comparison.E6Config(

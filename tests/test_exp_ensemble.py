@@ -8,12 +8,21 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.durable.journal import RunJournal
+from repro.durable.signals import GracefulShutdown
+from repro.errors import ConfigurationError, InterruptedRunError
 from repro.experiments import e1_sequential, ensemble
 from repro.experiments.ensemble import (
+    EnsembleRow,
     resolve_jobs,
     run_ensemble,
+    run_rows,
     seed_chunks,
+)
+from repro.obs.causal import (
+    CausalRecorder,
+    install_causal_recorder,
+    read_spill,
 )
 
 
@@ -309,3 +318,179 @@ class TestSeededBackoffJitter:
         serial = run_ensemble(_square, list(range(12)), jobs=1, backoff_seed=5)
         pooled = run_ensemble(_square, list(range(12)), jobs=4, backoff_seed=5)
         assert pickle.dumps(pooled) == pickle.dumps(serial)
+
+
+# ----------------------------------------------------------------------
+# Flat grids: many journal namespaces, one pool
+# ----------------------------------------------------------------------
+def _grid_rows():
+    """Three rows with distinct workers and overlapping seed lists."""
+    return [
+        EnsembleRow("a/x", functools.partial(_seeded_tuple, 0), [1, 2, 3, 4]),
+        EnsembleRow("a/y", functools.partial(_seeded_tuple, 100), [3, 4, 5]),
+        EnsembleRow("b/x", _square, [2, 7, 2, 9]),
+    ]
+
+
+def _expected_grid():
+    return [[row.run_one(seed) for seed in row.seeds] for row in _grid_rows()]
+
+
+class _KillAfter:
+    """Journal wrapper that requests shutdown once k cells are recorded
+    (a deterministic stand-in for a kill arriving mid-grid)."""
+
+    def __init__(self, journal, shutdown, k):
+        self._journal, self._shutdown, self._k = journal, shutdown, k
+
+    def completed(self, namespace):
+        return self._journal.completed(namespace)
+
+    def record(self, namespace, seed, payload):
+        self._journal.record(namespace, seed, payload)
+        if self._journal.total_completed >= self._k:
+            self._shutdown.requested = True
+            self._shutdown.signal_name = "SIGTERM"
+
+
+def _encode(result):
+    return list(result) if isinstance(result, tuple) else result
+
+
+def _decode(payload):
+    if isinstance(payload, list):
+        return (payload[0], payload[1], list(payload[2]))
+    return payload
+
+
+class TestFlatGrid:
+    def test_serial_grid_matches_list_comprehensions(self):
+        assert run_rows(_grid_rows()) == _expected_grid()
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_pooled_grid_byte_identical_to_serial(self, jobs):
+        serial = run_rows(_grid_rows(), jobs=1)
+        pooled = run_rows(_grid_rows(), jobs=jobs)
+        assert pickle.dumps(pooled) == pickle.dumps(serial)
+
+    def test_one_pool_for_the_whole_grid(self, monkeypatch):
+        pools = []
+        real = ensemble._run_chunks_pooled
+
+        def counting(run_one, chunks, jobs, *args, **kwargs):
+            pools.append(len(chunks))
+            return real(run_one, chunks, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "_run_chunks_pooled", counting)
+        assert run_rows(_grid_rows(), jobs=2) == _expected_grid()
+        # 10 distinct cells over 2 workers: one pool, at most 4 x jobs
+        # chunks (not one pool per row).
+        assert len(pools) == 1 and pools[0] <= 8
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_sharing_a_namespace_share_cells(self, jobs):
+        # A repeated grid axis value (``--algorithms a,a``) repeats a
+        # row: its cells are computed once and returned for both rows.
+        calls = []
+
+        def worker(seed):
+            calls.append(seed)
+            return seed * 5
+
+        rows = [EnsembleRow("ns", worker, [1, 2]), EnsembleRow("ns", worker, [2, 3])]
+        assert run_rows(rows) == [[5, 10], [10, 15]]
+        assert sorted(calls) == [1, 2, 3]
+        assert run_rows(rows, jobs=jobs) == [[5, 10], [10, 15]]
+
+    def test_progress_fires_once_per_fresh_cell(self):
+        seen = []
+        run_rows(_grid_rows(), progress=lambda seed, result: seen.append(seed))
+        # Grid order; duplicate seeds within a row computed once.
+        assert seen == [1, 2, 3, 4, 3, 4, 5, 2, 7, 9]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_killed_grid_resumes_byte_identically(self, tmp_path, jobs, k):
+        path = tmp_path / "journal.jsonl"
+        journal = RunJournal.open(path, "grid")
+        shutdown = GracefulShutdown(install=False)
+        with pytest.raises(InterruptedRunError):
+            run_rows(
+                _grid_rows(),
+                jobs=jobs,
+                journal=_KillAfter(journal, shutdown, k),
+                encode=_encode,
+                decode=_decode,
+                shutdown=shutdown,
+            )
+        journal.close()
+        resumed = RunJournal.open(path, "grid", resume=True)
+        journaled = resumed.total_completed
+        assert k <= journaled <= 10  # a pool chunk lands whole
+        fresh = []
+        result = run_rows(
+            _grid_rows(),
+            jobs=jobs,
+            journal=resumed,
+            encode=_encode,
+            decode=_decode,
+            progress=lambda seed, r: fresh.append(seed),
+        )
+        assert resumed.total_completed == 10
+        resumed.close()
+        assert pickle.dumps(result) == pickle.dumps(_expected_grid())
+        # Only the cells the killed run never journaled were recomputed.
+        assert len(fresh) == 10 - journaled
+
+    def test_per_row_journal_resumes_under_one_flat_call(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = RunJournal.open(path, "grid")
+        rows = _grid_rows()
+        # A journal as one-call-per-row drivers write it: the first row
+        # complete, the second row's first seed, nothing of the third.
+        run_ensemble(rows[0].run_one, rows[0].seeds, journal=journal,
+                     namespace=rows[0].namespace, encode=_encode)
+        run_ensemble(rows[1].run_one, rows[1].seeds[:1], journal=journal,
+                     namespace=rows[1].namespace, encode=_encode)
+        journal.close()
+        resumed = RunJournal.open(path, "grid", resume=True)
+        fresh = []
+        result = run_rows(
+            _grid_rows(),
+            jobs=2,
+            journal=resumed,
+            encode=_encode,
+            decode=_decode,
+            progress=lambda seed, r: fresh.append(seed),
+        )
+        resumed.close()
+        assert pickle.dumps(result) == pickle.dumps(_expected_grid())
+        assert sorted(fresh) == [2, 4, 5, 7, 9]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_seed_events_match_per_row_calls(self, tmp_path, jobs):
+        def seed_events(name, run):
+            recorder = CausalRecorder(
+                tmp_path / f"{name}.spill.jsonl", role="w", trace_id="t"
+            )
+            install_causal_recorder(recorder)
+            try:
+                run()
+            finally:
+                install_causal_recorder(None)
+                recorder.close()
+            return sorted(
+                (r["key"], r["span"], sorted(r["args"].items()))
+                for r in read_spill(recorder.path)
+                if r["name"] == "ensemble.seed"
+            )
+
+        def per_row():
+            for row in _grid_rows():
+                run_ensemble(row.run_one, row.seeds, jobs=jobs,
+                             namespace=row.namespace)
+
+        flat = seed_events("flat", lambda: run_rows(_grid_rows(), jobs=jobs))
+        assert flat == seed_events("rows", per_row)
+        assert [key for key, _span, _args in flat][:2] == ["a/x|1", "a/x|2"]
+        assert len(flat) == 10

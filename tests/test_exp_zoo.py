@@ -5,7 +5,10 @@ journaled prefix, payload round-trips, config validation and the
 ``python -m repro zoo`` entry point."""
 
 import functools
+import hashlib
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -14,6 +17,13 @@ from repro.durable.journal import RunJournal
 from repro.durable.signals import GracefulShutdown
 from repro.errors import ConfigurationError, InterruptedRunError
 from repro.experiments import e13_algorithm_zoo as zoo
+from repro.experiments.ensemble import run_ensemble
+from repro.obs.causal import (
+    CausalRecorder,
+    install_causal_recorder,
+    read_spill,
+    stitch_records,
+)
 from repro.experiments.e13_algorithm_zoo import (
     E13Config,
     ZooConfig,
@@ -87,27 +97,77 @@ class TestZooDeterminism:
             assert outcome_from_payload(payload) == outcome
 
 
+#: A journal the one-pool-per-row zoo driver wrote for ``_zoo_config()``,
+#: interrupted after 3 of its 8 cells (both seeds of hogwild/round-robin,
+#: the first of hogwild/stale-attack).
+ROWWISE_JOURNAL = pathlib.Path(__file__).parent / "data" / "zoo_rowwise_journal.jsonl"
+
+#: sha256 of ``run_zoo(_zoo_config()).to_json()`` as the one-pool-per-row
+#: driver produced it.
+ROWWISE_REPORT_SHA256 = (
+    "0cd0422ed497b1f258de91a10f9dac6b48bb6e90a6a76a03a0cdf29275b0a42e"
+)
+
+
+def _interrupt_then_resume(tmp_path, k, jobs):
+    """Interrupt a journaled grid after k cells, resume it, and return
+    the resumed report's JSON."""
+    path = tmp_path / "journal.jsonl"
+    config = _zoo_config(jobs=jobs)
+    fingerprint = zoo_fingerprint(config)
+    journal = RunJournal.open(path, fingerprint)
+    shutdown = GracefulShutdown(install=False)
+    with pytest.raises(InterruptedRunError):
+        run_zoo(
+            config,
+            journal=_TripAfter(journal, shutdown, k),
+            shutdown=shutdown,
+        )
+    journal.close()
+    resumed = RunJournal.open(path, fingerprint, resume=True)
+    assert resumed.total_completed >= k
+    report = run_zoo(config, journal=resumed)
+    resumed.close()
+    return report.to_json()
+
+
 class TestZooKillResume:
     @pytest.mark.parametrize("k", [1, 3])
     def test_interrupt_then_resume_is_byte_identical(self, tmp_path, k):
         reference, _ = _zoo_reference()
+        assert _interrupt_then_resume(tmp_path, k, jobs=1) == reference
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_pooled_interrupt_then_resume_is_byte_identical(self, tmp_path, k):
+        # One pool runs all four rows: a chunk lands cells of several
+        # rows at once, each journaled under its own row's namespace.
+        reference, _ = _zoo_reference()
+        assert _interrupt_then_resume(tmp_path, k, jobs=2) == reference
+
+    def test_report_bytes_match_the_per_row_driver(self):
+        reference, _ = _zoo_reference()
+        digest = hashlib.sha256(reference.encode("utf-8")).hexdigest()
+        assert digest == ROWWISE_REPORT_SHA256
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_per_row_journal_resumes_under_the_flat_grid(self, tmp_path, jobs):
+        reference, _ = _zoo_reference()
         path = tmp_path / "journal.jsonl"
-        config = _zoo_config()
-        fingerprint = zoo_fingerprint(config)
-        journal = RunJournal.open(path, fingerprint)
-        shutdown = GracefulShutdown(install=False)
-        with pytest.raises(InterruptedRunError):
-            run_zoo(
-                config,
-                journal=_TripAfter(journal, shutdown, k),
-                shutdown=shutdown,
-            )
+        shutil.copyfile(ROWWISE_JOURNAL, path)
+        config = _zoo_config(jobs=jobs)
+        journal = RunJournal.open(path, zoo_fingerprint(config), resume=True)
+        assert journal.total_completed == 3
+        fresh = []
+        report = run_zoo(
+            config, journal=journal, progress=lambda seed, o: fresh.append(o)
+        )
         journal.close()
-        resumed = RunJournal.open(path, fingerprint, resume=True)
-        assert resumed.total_completed >= k
-        report = run_zoo(_zoo_config(), journal=resumed)
-        resumed.close()
         assert report.to_json() == reference
+        # The three journaled cells were restored, not recomputed.
+        assert len(fresh) == 8 - 3
+        assert ("hogwild", "round-robin") not in {
+            (o.algorithm, o.adversary) for o in fresh
+        }
 
     def test_partial_report_covers_exactly_the_journaled_prefix(
         self, tmp_path
@@ -253,3 +313,58 @@ class TestZooCli:
         reference = (fresh / "zoo_report.json").read_bytes()
         assert (journaled / "zoo_report.json").read_bytes() == reference
         assert (resumed / "zoo_report.json").read_bytes() == reference
+
+
+class TestZooCausalStitch:
+    """The flat grid emits the same deterministic ``ensemble.seed``
+    records as one ensemble call per row, so a served zoo job's logical
+    stitch is unchanged."""
+
+    @staticmethod
+    def _records(path, run):
+        recorder = CausalRecorder(path, role="worker", trace_id="zoo-trace")
+        install_causal_recorder(recorder)
+        try:
+            run()
+        finally:
+            install_causal_recorder(None)
+            recorder.close()
+        return read_spill(path)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_seed_events_and_logical_stitch_match_per_row_calls(
+        self, tmp_path, jobs
+    ):
+        config = _zoo_config(jobs=jobs)
+
+        def per_row():
+            for algorithm in config.algorithms:
+                for adversary in config.adversaries:
+                    run_ensemble(
+                        functools.partial(
+                            zoo._zoo_worker, config, algorithm, adversary
+                        ),
+                        config.seeds,
+                        jobs=jobs,
+                        namespace=f"{algorithm}/{adversary}",
+                    )
+
+        flat = self._records(tmp_path / "flat.jsonl", lambda: run_zoo(config))
+        rows = self._records(tmp_path / "rows.jsonl", per_row)
+
+        def seed_events(records):
+            return sorted(
+                (r["key"], r["span"], sorted(r["args"].items()))
+                for r in records
+                if r["name"] == "ensemble.seed"
+            )
+
+        assert seed_events(flat) == seed_events(rows)
+        assert len(seed_events(flat)) == 8
+        assert (
+            "locked/stale-attack|101",
+            [("namespace", "locked/stale-attack"), ("seed", 101)],
+        ) in [(key, args) for key, _span, args in seed_events(flat)]
+        assert stitch_records(flat, mode="logical") == stitch_records(
+            rows, mode="logical"
+        )
